@@ -49,7 +49,7 @@ fn measured_cost(
 ) -> (f64, u64) {
     let mr = Engine::pinned(cat.dfs.clone());
     let plan: QueryPlan = engine.plan(aq, cat).expect("fixed plan compiles");
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let cost = model.workflow_time(&wf);
     let input = wf.total_input_bytes();
     plan.cleanup(&cat.dfs);

@@ -29,7 +29,7 @@ fn measured_cost(
     model: &ClusterModel,
 ) -> f64 {
     let mr = Engine::pinned(cat.dfs.clone());
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let cost = model.workflow_time(&wf);
     plan.cleanup(&cat.dfs);
     cat.dfs.remove(&plan.output_dataset);

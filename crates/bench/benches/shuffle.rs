@@ -1,18 +1,15 @@
 //! Shuffle data-path microbench: the arena-backed sorted-run merge engine
-//! against an in-bench reimplementation of the legacy shuffle (per-record
-//! `(Vec<u8>, Vec<u8>)` pairs, reduce-side concatenation + one stable sort
-//! per partition) over the same 1M-record workload.
+//! over a 1M-record pure-shuffle workload.
 //!
-//! Both sides run single-threaded end to end — dataset scan, map emit,
+//! The job runs single-threaded end to end — dataset scan, map emit,
 //! partition, sort/merge, grouped reduction, output block build — so the
-//! ratio isolates the data-path rewrite, not parallelism. Results land in
-//! `BENCH_mapred.json` (group `mapred`); `scripts/bench_report.sh` records
-//! the committed baseline.
+//! timing isolates the data path, not parallelism. Results land in
+//! `BENCH_mapred.json` (group `mapred`); `scripts/bench_report.sh mapred`
+//! checks the median against the committed baseline's samples.
 
-use rapida_mapred::codec::{BlockBuilder, RecordIter};
 use rapida_mapred::{
-    shuffle_partition, DatasetWriter, Engine, FnMapFactory, FnReduceFactory, InputSrc, Job,
-    JobBuilder, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
+    DatasetWriter, Engine, FnMapFactory, FnReduceFactory, InputSrc, Job, JobBuilder, MapOutput,
+    MapTask, ReduceOutput, ReduceTask, SimDfs,
 };
 use rapida_testkit::bench::{smoke_mode, Criterion};
 use rapida_testkit::rng::StdRng;
@@ -76,50 +73,6 @@ fn job(reducers: usize) -> Job {
         .build()
 }
 
-/// The pre-rewrite data path, single-threaded: heap pairs per record,
-/// task-order concatenation per partition, one stable sort per partition,
-/// grouped reduction over the materialized list.
-fn legacy_run(ds: &rapida_mapred::Dataset, reducers: usize) -> usize {
-    let mut shuffled: Vec<Vec<(Vec<u8>, Vec<u8>)>> =
-        (0..reducers).map(|_| Vec::new()).collect();
-    for block in &ds.blocks {
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for rec in RecordIter::new(block) {
-            pairs.push((rec[..KEY_LEN].to_vec(), rec[KEY_LEN..].to_vec()));
-        }
-        for (k, v) in pairs {
-            let p = shuffle_partition(&k, reducers);
-            shuffled[p].push((k, v));
-        }
-    }
-    let mut out_records = 0usize;
-    for kvs in &mut shuffled {
-        kvs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut bb = BlockBuilder::new();
-        let mut i = 0;
-        let mut rec = Vec::with_capacity(KEY_LEN + 8);
-        while i < kvs.len() {
-            let key = &kvs[i].0;
-            let mut total = 0u64;
-            let mut j = i;
-            while j < kvs.len() && &kvs[j].0 == key {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&kvs[j].1);
-                total += u64::from_le_bytes(b);
-                j += 1;
-            }
-            rec.clear();
-            rec.extend_from_slice(key);
-            rec.extend_from_slice(&total.to_le_bytes());
-            bb.push(&rec);
-            out_records += 1;
-            i = j;
-        }
-        std::hint::black_box(bb.finish());
-    }
-    out_records
-}
-
 fn bench(c: &mut Criterion) {
     let (n, tag) = if smoke_mode() {
         (50_000, "50k")
@@ -134,10 +87,6 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(8));
-
-    group.bench_function(format!("shuffle_legacy_pairs/{tag}"), |b| {
-        b.iter(|| legacy_run(&ds, reducers))
-    });
 
     group.bench_function(format!("shuffle_arena_merge/{tag}"), |b| {
         b.iter(|| {

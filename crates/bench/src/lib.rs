@@ -180,10 +180,11 @@ impl Workbench {
         let aq = extract(&parsed)?;
         let plan = engine.plan(&aq, &self.cat)?;
         let start = Instant::now();
-        let (rel, wf) = plan.execute(&self.mr, &aq, &self.cat.dict);
+        let run = plan.try_execute(&self.mr, &aq, &self.cat.dict);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         plan.cleanup(&self.mr.dfs);
         self.mr.dfs.remove(&plan.output_dataset);
+        let (rel, wf) = run?;
         Ok(ExperimentResult {
             query: q.id.to_string(),
             engine: engine.name().to_string(),

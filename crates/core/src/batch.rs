@@ -259,17 +259,18 @@ mod tests {
         let cfg = HiveConfig::default();
         let refs: Vec<&AnalyticalQuery> = members.iter().collect();
         let fused = plan_fused_group(&refs, &cfg, &cat).expect("fused plan");
-        mr.run_workflow(&fused.jobs);
+        mr.try_run_workflow(&fused.jobs)
+            .expect("workflow completes");
 
         let solo_engine = HiveMqo::default();
         for (m, aq) in members.iter().enumerate() {
             let plan =
                 demux_member_plan(&fused, m, aq, "Hive (MQO)", &cat.dfs, mr.split_bytes)
                     .expect("member plan");
-            let (rel, _) = plan.execute(&mr, aq, &g.dict);
+            let (rel, _) = plan.try_execute(&mr, aq, &g.dict).expect("plan executes");
 
             let solo = solo_engine.plan(aq, &cat).expect("solo plan");
-            let (srel, _) = solo.execute(&mr, aq, &g.dict);
+            let (srel, _) = solo.try_execute(&mr, aq, &g.dict).expect("plan executes");
             assert_eq!(
                 rel.canonicalized(&g.dict),
                 srel.canonicalized(&g.dict),

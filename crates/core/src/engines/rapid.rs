@@ -27,9 +27,6 @@ const NUM_REDUCERS: usize = 8;
 pub struct RapidPlus {
     /// Map-side hash aggregation in Agg-Join (Algorithm 3 ablation knob).
     pub map_side_combine: bool,
-    /// Run operators on the owned-decode path instead of the borrowed
-    /// triplegroup views (benchmark baseline; byte-identical output).
-    pub legacy_owned: bool,
     /// Cost-based mode: enumerate candidate plans across the RAPID family,
     /// price each with this cluster model, and return the cheapest. `None`
     /// (default) keeps the fixed plan above.
@@ -51,7 +48,6 @@ impl Default for RapidPlus {
     fn default() -> Self {
         RapidPlus {
             map_side_combine: true,
-            legacy_owned: false,
             cost_model: None,
             join_orders: Vec::new(),
             use_extvp: true,
@@ -71,9 +67,6 @@ pub struct RapidAnalytics {
     /// Parallel evaluation of independent aggregations in one cycle
     /// (Fig. 6(b)); off = one Agg-Join cycle per block (Fig. 6(a)).
     pub parallel_agg: bool,
-    /// Run operators on the owned-decode path instead of the borrowed
-    /// triplegroup views (benchmark baseline; byte-identical output).
-    pub legacy_owned: bool,
     /// Cost-based mode: enumerate candidate plans across the RAPID family,
     /// price each with this cluster model, and return the cheapest. `None`
     /// (default) keeps the fixed plan above.
@@ -92,7 +85,6 @@ impl Default for RapidAnalytics {
             map_side_combine: true,
             alpha_pruning: true,
             parallel_agg: true,
-            legacy_owned: false,
             cost_model: None,
             join_orders: Vec::new(),
             use_extvp: true,
@@ -141,7 +133,6 @@ impl QueryEngine for RapidPlus {
                 prefilters,
                 edges,
                 conds: Arc::new(Vec::new()),
-                legacy_owned: self.legacy_owned,
             };
             let (mut join_jobs, joined) = planner.build_join_jobs()?;
             jobs.append(&mut join_jobs);
@@ -157,7 +148,6 @@ impl QueryEngine for RapidPlus {
                 joined,
                 &planner,
                 self.map_side_combine,
-                self.legacy_owned,
                 &out,
             ));
             block_datasets.push(out);
@@ -195,7 +185,6 @@ impl QueryEngine for RapidAnalytics {
                 // Otherwise evaluate like RAPID+.
                 let fallback = RapidPlus {
                     map_side_combine: self.map_side_combine,
-                    legacy_owned: self.legacy_owned,
                     cost_model: None,
                     join_orders: self.join_orders.clone(),
                     use_extvp: self.use_extvp,
@@ -245,7 +234,6 @@ impl QueryEngine for RapidAnalytics {
             prefilters,
             edges,
             conds: Arc::new(conds),
-            legacy_owned: self.legacy_owned,
         };
         let (mut jobs, joined) = planner.build_join_jobs()?;
 
@@ -275,7 +263,6 @@ impl QueryEngine for RapidAnalytics {
                 joined.clone(),
                 &planner,
                 self.map_side_combine,
-                self.legacy_owned,
                 &out,
             ));
             block_datasets = vec![out; aq.blocks.len()];
@@ -292,7 +279,6 @@ impl QueryEngine for RapidAnalytics {
                     joined.clone(),
                     &planner,
                     self.map_side_combine,
-                    self.legacy_owned,
                     &out,
                 ));
                 block_datasets.push(out);
@@ -350,7 +336,6 @@ impl RapidAnalytics {
             numeric: cat.numeric.clone(),
             raw_filters,
             map_side_combine: self.map_side_combine,
-            legacy_owned: self.legacy_owned,
         });
         let out = format!("{pid}_aggs");
         let mut builder = JobBuilder::new("RAPIDAnalytics:shared-scan-agg-join");
@@ -396,7 +381,6 @@ pub(crate) struct TgJoinPlanner<'a> {
     pub(crate) prefilters: Vec<Option<TgTransform>>,
     pub(crate) edges: Vec<CompiledEdge>,
     pub(crate) conds: Arc<Vec<AlphaCond>>,
-    pub(crate) legacy_owned: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -480,7 +464,6 @@ impl TgJoinPlanner<'_> {
                         self.route(edge.r_star, Side::Right, edge.r_key),
                     ],
                     ann_routes: vec![],
-                    legacy_owned: self.legacy_owned,
                 });
                 join_job(
                     &format!("{}:tg-join{}", self.prefix, cycle),
@@ -488,7 +471,6 @@ impl TgJoinPlanner<'_> {
                     inputs,
                     cfg,
                     &self.conds,
-                    self.legacy_owned,
                     &out,
                 )
             } else {
@@ -510,7 +492,6 @@ impl TgJoinPlanner<'_> {
                         side: Side::Left,
                         key: old_key,
                     }],
-                    legacy_owned: self.legacy_owned,
                 });
                 join_job(
                     &format!("{}:tg-join{}", self.prefix, cycle),
@@ -518,7 +499,6 @@ impl TgJoinPlanner<'_> {
                     inputs,
                     cfg,
                     &self.conds,
-                    self.legacy_owned,
                     &out,
                 )
             };
@@ -540,7 +520,6 @@ fn join_job(
     inputs: Vec<String>,
     cfg: Arc<TgJoinMapConfig>,
     conds: &Arc<Vec<AlphaCond>>,
-    legacy_owned: bool,
     out: &str,
 ) -> Job {
     let mut b = JobBuilder::new(name);
@@ -553,11 +532,7 @@ fn join_job(
         move || TgJoinMapper::new(c.clone())
     })))
     .reducer(Arc::new(KeyLocal(FnReduceFactory(move || {
-        if legacy_owned {
-            AlphaJoinReducer::legacy(conds.clone())
-        } else {
-            AlphaJoinReducer::new(conds.clone())
-        }
+        AlphaJoinReducer::new(conds.clone())
     }))))
     .output(out)
     .num_reducers(NUM_REDUCERS)
@@ -573,7 +548,6 @@ pub(crate) fn agg_join_job(
     joined: Option<String>,
     planner: &TgJoinPlanner<'_>,
     map_side_combine: bool,
-    legacy_owned: bool,
     out: &str,
 ) -> Job {
     let (inputs, raw_filters) = match joined {
@@ -588,7 +562,6 @@ pub(crate) fn agg_join_job(
         numeric: cat.numeric.clone(),
         raw_filters,
         map_side_combine,
-        legacy_owned,
     });
     let mut b = JobBuilder::new(name);
     for i in inputs {
@@ -1094,7 +1067,9 @@ mod tests {
             };
             let plan = engine.plan(&aq, &cat).unwrap();
             let mr = rapida_mapred::Engine::pinned(cat.dfs.clone());
-            let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+            let (rel, wf) = plan
+                .try_execute(&mr, &aq, &cat.dict)
+                .expect("plan executes");
             plan.cleanup(&cat.dfs);
             cat.dfs.remove(&plan.output_dataset);
             let emitted: u64 = wf.jobs.iter().map(|j| j.map_output_records).sum();

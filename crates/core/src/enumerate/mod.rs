@@ -542,11 +542,11 @@ pub fn enumerate_best(
     let mut measured: Vec<(usize, f64)> = Vec::with_capacity(shortlist.len());
     for &i in &shortlist {
         let plan = &scored[i].plan;
-        let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
-        let t = model.workflow_time(&wf);
+        let run = plan.try_execute(&mr, aq, &cat.dict);
         plan.cleanup(&cat.dfs);
         cat.dfs.remove(&plan.output_dataset);
-        measured.push((i, t));
+        let (_rel, wf) = run?;
+        measured.push((i, model.workflow_time(&wf)));
     }
 
     // Choose: minimum measured cost; ties prefer incumbents, then

@@ -27,7 +27,7 @@
 //! let aq = extract(&query).unwrap();
 //! let plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
 //! let mr = Engine::new(cat.dfs.clone());
-//! let (result, metrics) = plan.execute(&mr, &aq, &cat.dict);
+//! let (result, metrics) = plan.try_execute(&mr, &aq, &cat.dict).unwrap();
 //! println!("{} rows in {} cycles", result.len(), metrics.cycles());
 //! ```
 
@@ -68,6 +68,6 @@ pub fn run_query(
         .map_err(|e| PlanError::Unsupported(format!("parse error: {e}")))?;
     let aq = extract(&query)?;
     let plan = engine.plan(&aq, cat)?;
-    let (rel, wf) = plan.execute(mr, &aq, &cat.dict);
+    let (rel, wf) = plan.try_execute(mr, &aq, &cat.dict)?;
     Ok((rel, wf, plan))
 }

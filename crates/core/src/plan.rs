@@ -384,25 +384,10 @@ impl QueryPlan {
     }
 
     /// Execute against an MR engine, returning the result relation and the
-    /// measured workflow metrics.
-    ///
-    /// Delegates to [`QueryPlan::try_execute`]; an exhausted workflow
-    /// recovery budget panics (unreachable for probabilistic fault plans —
-    /// see `rapida_mapred::Engine::run_workflow`).
-    pub fn execute(
-        &self,
-        mr: &Engine,
-        aq: &AnalyticalQuery,
-        dict: &Dictionary,
-    ) -> (Relation, WorkflowMetrics) {
-        self.try_execute(mr, aq, dict)
-            .unwrap_or_else(|e| panic!("plan execution exhausted its recovery budget: {e}"))
-    }
-
-    /// Execute against an MR engine with workflow-level checkpoint/recovery:
-    /// lost jobs resume from the last committed checkpoint, and an exhausted
-    /// retry budget degrades to a typed [`WorkflowError`] carrying the
-    /// partial metrics instead of panicking.
+    /// measured workflow metrics. Runs with workflow-level
+    /// checkpoint/recovery: lost jobs resume from the last committed
+    /// checkpoint, and an exhausted retry budget degrades to a typed
+    /// [`WorkflowError`] carrying the partial metrics instead of panicking.
     pub fn try_execute(
         &self,
         mr: &Engine,
@@ -552,13 +537,16 @@ pub fn agg_op_of(f: AggFunc) -> AggOp {
     }
 }
 
-/// Errors from plan compilation.
-#[derive(Debug, Clone, PartialEq)]
+/// Errors from plan compilation, and from the plan executions run by
+/// [`crate::enumerate_best`]'s dry-runs and [`crate::run_query`].
+#[derive(Debug, Clone)]
 pub enum PlanError {
     /// IR extraction / analysis failure.
     Extract(crate::aquery::ExtractError),
     /// The construct is outside the engine subset.
     Unsupported(String),
+    /// A plan execution exhausted its workflow recovery budget.
+    Workflow(WorkflowError),
 }
 
 impl fmt::Display for PlanError {
@@ -566,6 +554,7 @@ impl fmt::Display for PlanError {
         match self {
             PlanError::Extract(e) => write!(f, "{e}"),
             PlanError::Unsupported(m) => write!(f, "unsupported by this engine: {m}"),
+            PlanError::Workflow(e) => write!(f, "{e}"),
         }
     }
 }
@@ -575,6 +564,12 @@ impl std::error::Error for PlanError {}
 impl From<crate::aquery::ExtractError> for PlanError {
     fn from(e: crate::aquery::ExtractError) -> Self {
         PlanError::Extract(e)
+    }
+}
+
+impl From<WorkflowError> for PlanError {
+    fn from(e: WorkflowError) -> Self {
+        PlanError::Workflow(e)
     }
 }
 

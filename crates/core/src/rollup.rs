@@ -21,7 +21,9 @@ use crate::engines::rapid::{
 };
 use crate::filters::compile_block_filters;
 use crate::plan::{next_plan_id, PlanError};
-use rapida_mapred::{Engine, FnMapFactory, FnReduceFactory, JobBuilder, WorkflowMetrics};
+use rapida_mapred::{
+    Engine, FnMapFactory, FnReduceFactory, JobBuilder, WorkflowError, WorkflowMetrics,
+};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AggRec, AlphaCond,
 };
@@ -105,7 +107,6 @@ impl GroupingSetsQuery {
             prefilters,
             edges,
             conds: Arc::new(Vec::new()),
-            legacy_owned: false,
         };
         let (mut jobs, joined) = planner.build_join_jobs()?;
 
@@ -162,7 +163,6 @@ impl GroupingSetsQuery {
             numeric: cat.numeric.clone(),
             raw_filters,
             map_side_combine: true,
-            legacy_owned: false,
         });
         let out = format!("{pid}_sets");
         let mut b = JobBuilder::new(format!("grouping-sets x{}", self.sets.len()));
@@ -199,9 +199,10 @@ impl GroupingSetsPlan {
     }
 
     /// Execute, assembling the lattice result: columns
-    /// `key_vars… aggregates… ?__set`.
-    pub fn execute(&self, mr: &Engine) -> (Relation, WorkflowMetrics) {
-        let wf = mr.run_workflow(&self.jobs);
+    /// `key_vars… aggregates… ?__set`. An exhausted workflow recovery
+    /// budget surfaces as the typed [`WorkflowError`].
+    pub fn execute(&self, mr: &Engine) -> Result<(Relation, WorkflowMetrics), WorkflowError> {
+        let wf = mr.try_run_workflow(&self.jobs)?;
         let mut vars = self.key_vars.clone();
         vars.extend(self.agg_aliases.iter().cloned());
         vars.push(Var::new("__set"));
@@ -226,7 +227,7 @@ impl GroupingSetsPlan {
                 rows.push(row);
             }
         }
-        (Relation { vars, rows }, wf)
+        Ok((Relation { vars, rows }, wf))
     }
 }
 
@@ -298,7 +299,7 @@ mod tests {
         let plan = q.plan(&cat).unwrap();
         // Single-star pattern: exactly ONE cycle for the whole lattice.
         assert_eq!(plan.cycles(), 1);
-        let (rel, _wf) = plan.execute(&mr);
+        let (rel, _wf) = plan.execute(&mr).expect("rollup runs");
 
         // Compare each level with the reference evaluator.
         let level_queries = [
@@ -369,7 +370,7 @@ mod tests {
         };
         let plan = q.plan(&cat).unwrap();
         assert_eq!(plan.cycles(), 1);
-        let (rel, _) = plan.execute(&mr);
+        let (rel, _) = plan.execute(&mr).expect("cube runs");
         // f×c = 6 groups, f = 3, c = 2, ALL = 1.
         assert_eq!(rel.len(), 6 + 3 + 2 + 1);
     }

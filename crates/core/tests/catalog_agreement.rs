@@ -40,7 +40,9 @@ fn run_workload(w: Workload) {
             let plan = e
                 .plan(&aq, &cat)
                 .unwrap_or_else(|err| panic!("{}: {} failed to plan: {err}", q.id, e.name()));
-            let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+            let (rel, _wf) = plan
+                .try_execute(&mr, &aq, &cat.dict)
+                .expect("plan executes");
             let got = rel.canonicalized(&g.dict);
             assert_eq!(
                 got,

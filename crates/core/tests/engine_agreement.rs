@@ -67,7 +67,9 @@ fn check_all_engines(g: &Graph, sparql: &str) {
         let plan = e
             .plan(&aq, &cat)
             .unwrap_or_else(|err| panic!("{} failed to plan: {err}", e.name()));
-        let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _wf) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         let got = rel.canonicalized(&g.dict);
         assert_eq!(
             got,
@@ -351,7 +353,9 @@ fn alpha_pruning_reduces_join_output() {
             ..Default::default()
         };
         let plan = engine.plan(&aq, &cat).unwrap();
-        let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, wf) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         assert_eq!(rel.canonicalized(&g.dict), expected, "pruning={pruning}");
         // The first job is the composite α-join cycle.
         join_outputs.push(wf.jobs[0].output_records);

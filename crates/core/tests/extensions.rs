@@ -63,7 +63,9 @@ fn three_grouping_blocks() {
         if e.name().starts_with("RAPID+") {
             rp_cycles = plan.cycles();
         }
-        let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _wf) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         assert_eq!(
             rel.canonicalized(&g.dict),
             expected,
@@ -120,7 +122,9 @@ fn corrupt_records_are_skipped() {
     ];
     for e in &engines {
         let plan = e.plan(&aq, &cat).unwrap();
-        let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, wf) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         assert_eq!(rel.len(), 3, "{}: three feature groups survive", e.name());
         assert!(
             wf.total_corrupt_records_skipped() > 0,
@@ -169,7 +173,9 @@ fn cleanup_removes_intermediates_only() {
     let mr = Engine::pinned(cat.dfs.clone());
     let base_names = cat.dfs.names();
     let plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-    let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+    let (rel, _) = plan
+        .try_execute(&mr, &aq, &cat.dict)
+        .expect("plan executes");
     assert!(!rel.is_empty());
     assert!(cat.dfs.names().len() > base_names.len(), "intermediates exist");
     plan.cleanup(&cat.dfs);
@@ -208,9 +214,13 @@ fn shared_scan_reads_less_input() {
 
     // Single-star patterns: the Agg-Join cycle scans raw triplegroups.
     let ra_plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-    let (_, ra_wf) = ra_plan.execute(&mr, &aq, &cat.dict);
+    let (_, ra_wf) = ra_plan
+        .try_execute(&mr, &aq, &cat.dict)
+        .expect("plan executes");
     let rp_plan = RapidPlus::default().plan(&aq, &cat).unwrap();
-    let (_, rp_wf) = rp_plan.execute(&mr, &aq, &cat.dict);
+    let (_, rp_wf) = rp_plan
+        .try_execute(&mr, &aq, &cat.dict)
+        .expect("plan executes");
     let scan_bytes = |wf: &rapida_mapred::WorkflowMetrics| {
         wf.jobs
             .iter()
@@ -256,8 +266,8 @@ fn non_overlapping_single_star_blocks_share_one_cycle() {
     assert_eq!(ra.cycles(), 2, "shared scan collapses the block cycles");
     assert_eq!(rp.cycles(), 3);
 
-    let (ra_rel, ra_wf) = ra.execute(&mr, &aq, &cat.dict);
-    let (rp_rel, rp_wf) = rp.execute(&mr, &aq, &cat.dict);
+    let (ra_rel, ra_wf) = ra.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
+    let (rp_rel, rp_wf) = rp.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
     assert_eq!(ra_rel.canonicalized(&g.dict), expected);
     assert_eq!(rp_rel.canonicalized(&g.dict), expected);
     assert!(
@@ -286,7 +296,9 @@ fn execution_is_deterministic() {
     let mut results = Vec::new();
     for _ in 0..3 {
         let plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-        let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         results.push(rel.canonicalized(&g.dict));
     }
     assert_eq!(results[0], results[1]);

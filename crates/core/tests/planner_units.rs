@@ -53,7 +53,7 @@ fn map_join_threshold_controls_cycle_kinds() {
         };
         let plan = engine.plan(&aq, &cat).unwrap();
         let map_only = plan.map_only_cycles();
-        let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
         assert_eq!(rel.canonicalized(&g.dict), expected, "threshold={threshold}");
         map_only
     };
@@ -82,7 +82,9 @@ fn final_join_on_two_shared_keys() {
     let cat = DataCatalog::load(&g);
     let mr = Engine::pinned(cat.dfs.clone());
     let plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-    let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+    let (rel, _) = plan
+        .try_execute(&mr, &aq, &cat.dict)
+        .expect("plan executes");
     assert_eq!(rel.canonicalized(&g.dict), expected);
 }
 
@@ -145,7 +147,9 @@ fn absent_property_scans_empty() {
         Box::new(RapidAnalytics::default()),
     ] {
         let plan = engine.plan(&aq, &cat).unwrap();
-        let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         assert!(rel.is_empty(), "{}", engine.name());
     }
 }

@@ -221,20 +221,8 @@ impl Engine {
         }
     }
 
-    /// Run a sequence of jobs, accumulating workflow metrics.
-    ///
-    /// Delegates to [`Engine::try_run_workflow`]; an exhausted recovery
-    /// budget panics. That is unreachable for purely probabilistic fault
-    /// plans (the final budgeted attempt never aborts) — only an explicit
-    /// [`FaultPlan::abort_job`] scheduled with more kills than the
-    /// workflow's retry budget can trip it, and harnesses doing that should
-    /// call [`Engine::try_run_workflow`] and handle the typed error.
-    pub fn run_workflow(&self, jobs: &[Job]) -> WorkflowMetrics {
-        self.try_run_workflow(jobs)
-            .unwrap_or_else(|e| panic!("workflow exhausted its recovery budget: {e}"))
-    }
-
-    /// Run a sequence of jobs with workflow-level recovery.
+    /// Run a sequence of jobs with workflow-level recovery, accumulating
+    /// workflow metrics.
     ///
     /// Every committed job's output dataset is a durable checkpoint. When a
     /// job attempt is lost — a fault-plan abort ([`FaultPlan::abort_job`] /
@@ -1138,7 +1126,9 @@ mod tests {
             .output("out")
             .build();
         let engine = Engine::pinned(dfs.clone());
-        let wf = engine.run_workflow(&[j1, j2]);
+        let wf = engine
+            .try_run_workflow(&[j1, j2])
+            .expect("workflow completes");
         assert_eq!(wf.cycles(), 2);
         assert_eq!(wf.full_cycles(), 1);
         assert_eq!(wf.map_only_cycles(), 1);
@@ -1157,7 +1147,8 @@ mod tests {
                 .cache_key("k:scan")
                 .build();
             let engine = Engine::pinned(dfs.clone()).with_scan_cache(cache.clone());
-            (engine.run_workflow(&[job]), dfs.get("out").unwrap())
+            let wf = engine.try_run_workflow(&[job]).expect("workflow completes");
+            (wf, dfs.get("out").unwrap())
         };
         let dfs1 = SimDfs::new();
         let (wf1, out1) = run(&dfs1);
@@ -1184,7 +1175,8 @@ mod tests {
             .build();
         Engine::pinned(dfs3.clone())
             .with_scan_cache(cache.clone())
-            .run_workflow(&[plain]);
+            .try_run_workflow(&[plain])
+            .expect("workflow completes");
         assert_eq!(cache.stats(), stats_before);
     }
 

@@ -116,7 +116,9 @@ fn run(scenario: &Scenario, plan_of: impl Fn(u64) -> FaultPlan) -> (WorkflowMetr
     dfs.put("in", w.finish());
     let mut engine = Engine::with_workers(dfs.clone(), scenario.workers);
     engine.faults = scenario.fault_seed.map(plan_of);
-    let wf = engine.run_workflow(&workflow());
+    let wf = engine
+        .try_run_workflow(&workflow())
+        .expect("workflow completes");
     let blocks: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")
@@ -267,7 +269,7 @@ fn run_fanout(
     ];
     let mut engine = Engine::with_workers(dfs.clone(), scenario.workers);
     engine.faults = scenario.fault_seed.map(plan_of);
-    let wf = engine.run_workflow(&jobs);
+    let wf = engine.try_run_workflow(&jobs).expect("workflow completes");
     let blocks: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")
@@ -315,7 +317,7 @@ fn run_sharded(
         .build()];
     let mut engine = Engine::with_workers(dfs.clone(), scenario.workers);
     engine.faults = scenario.fault_seed.map(plan_of);
-    let wf = engine.run_workflow(&jobs);
+    let wf = engine.try_run_workflow(&jobs).expect("workflow completes");
     let blocks: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")

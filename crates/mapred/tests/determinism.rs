@@ -133,7 +133,9 @@ fn run_with_faults(
     seeded_input(&dfs, seed);
     let mut engine = Engine::with_workers(dfs.clone(), workers);
     engine.faults = faults;
-    let wf = engine.run_workflow(&workflow());
+    let wf = engine
+        .try_run_workflow(&workflow())
+        .expect("workflow completes");
     let out: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")

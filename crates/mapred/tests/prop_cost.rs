@@ -163,7 +163,7 @@ fn ladder_cost(plan: Option<FaultPlan>) -> f64 {
         .build();
     let mut engine = Engine::pinned(dfs);
     engine.faults = plan;
-    let wf = engine.run_workflow(&[job]);
+    let wf = engine.try_run_workflow(&[job]).expect("workflow completes");
     ClusterModel::nodes10().workflow_time(&wf)
 }
 

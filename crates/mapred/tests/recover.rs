@@ -268,20 +268,3 @@ fn unescalated_deadline_exhausts_the_budget() {
         other => panic!("expected DeadlineExhausted, got {other}"),
     }
 }
-
-/// The infallible wrapper panics (rather than returning wrong results)
-/// when an explicit kill schedule outlasts the budget.
-#[test]
-#[should_panic(expected = "recovery budget")]
-fn run_workflow_panics_when_the_budget_is_exhausted() {
-    let dfs = SimDfs::new();
-    let mut w = DatasetWriter::new(64);
-    w.push(b"ab");
-    dfs.put("in", w.finish());
-    let mut engine = Engine::with_workers(dfs, 2);
-    engine.faults = Some(FaultPlan {
-        abort_job: Some((0, 99)),
-        ..FaultPlan::new(0)
-    });
-    engine.run_workflow(&workflow());
-}

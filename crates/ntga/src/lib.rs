@@ -17,8 +17,8 @@
 //! The hot operator paths run on the borrowed views [`TgRef`] /
 //! [`AnnTgRef`]: records are parsed in place and re-emitted by copying
 //! raw spans into per-task scratch buffers (see `DESIGN.md` §2d). The
-//! owned-decode paths survive behind `legacy_owned` flags as the
-//! benchmark baseline.
+//! owned model and the logical operators in [`ops`] / [`spec`] are the
+//! reference each view primitive is property-tested against.
 
 pub mod hashagg;
 pub mod ops;

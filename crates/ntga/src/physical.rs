@@ -8,15 +8,14 @@
 //!   aggregation (`multiAggMap`, Algorithm 3; `Job_k` of Algorithm 1).
 
 use crate::hashagg::AggTable;
-use crate::ops::{accumulate, accumulate_view, opt_group_filter, opt_group_filter_into, AccumScratch};
+use crate::ops::{accumulate_view, opt_group_filter, opt_group_filter_into, AccumScratch};
 use crate::spec::{
-    any_alpha_partial, any_alpha_partial_merged, AggJoinSpec, AlphaCond, JoinKey,
-    NumericSnapshot, PartialAgg, StarSpec,
+    any_alpha_partial_merged, AggJoinSpec, AlphaCond, JoinKey, NumericSnapshot, PartialAgg,
+    StarSpec,
 };
-use crate::triplegroup::{AnnTg, AnnTgRef, TgRef, TripleGroup};
+use crate::triplegroup::{AnnTgRef, TgRef, TripleGroup};
 use rapida_mapred::codec::{read_varint, write_f64, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
-use rapida_rdf::FxHashMap;
 use std::sync::Arc;
 
 /// Join side tag.
@@ -83,18 +82,13 @@ pub struct TgJoinMapConfig {
     pub star_routes: Vec<StarRoute>,
     /// Routes for annotated intermediate inputs.
     pub ann_routes: Vec<AnnRoute>,
-    /// Run the pre-view owned-decode path (`TripleGroup::decode` + fresh
-    /// `Vec` per emit). Kept in-tree as the benchmark baseline and as a
-    /// byte-identity oracle for the view path.
-    pub legacy_owned: bool,
 }
 
 /// Map phase of `Job_i`: `TG_OptGrpFilter` + tagging for `TG_AlphaJoin`.
 ///
-/// The default path parses records as [`TgRef`]/[`AnnTgRef`] views and
-/// encodes each emit directly into two per-task scratch buffers (cleared,
-/// never reallocated). The `legacy_owned` config flag selects the original
-/// owned-decode implementation.
+/// Records are parsed as [`TgRef`]/[`AnnTgRef`] views and each emit is
+/// encoded directly into two per-task scratch buffers (cleared, never
+/// reallocated).
 pub struct TgJoinMapper {
     config: Arc<TgJoinMapConfig>,
     key_buf: Vec<u8>,
@@ -110,61 +104,10 @@ impl TgJoinMapper {
             val_buf: Vec::new(),
         }
     }
-
-    /// The pre-view implementation, verbatim: owned decode per record,
-    /// fresh key/value `Vec`s per emit.
-    fn map_legacy(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        if self.config.raw_inputs.contains(&src.dataset) {
-            let Some(tg) = TripleGroup::decode(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            for route in &self.config.star_routes {
-                let view = match &route.prefilter {
-                    Some(f) => match f(tg.clone()) {
-                        Some(v) => v,
-                        None => continue,
-                    },
-                    None => tg.clone(),
-                };
-                if let Some(filtered) = opt_group_filter(&view, &route.spec) {
-                    let ann = AnnTg::single(route.spec.star, filtered);
-                    for k in route.key.extract(&ann) {
-                        emit_tagged(out, k, route.side, &ann);
-                    }
-                }
-            }
-        } else {
-            let Some(ann) = AnnTg::decode(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            for route in &self.config.ann_routes {
-                if route.input == src.dataset {
-                    for k in route.key.extract(&ann) {
-                        emit_tagged(out, k, route.side, &ann);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn emit_tagged(out: &mut MapOutput, key_val: u64, side: Side, tg: &AnnTg) {
-    let mut key = Vec::with_capacity(10);
-    write_varint(&mut key, key_val);
-    let mut val = Vec::new();
-    val.push(side.byte());
-    tg.encode(&mut val);
-    out.emit(&key, &val);
 }
 
 impl MapTask for TgJoinMapper {
     fn map(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        if self.config.legacy_owned {
-            self.map_legacy(src, record, out);
-            return;
-        }
         let TgJoinMapper {
             config,
             key_buf,
@@ -179,8 +122,8 @@ impl MapTask for TgJoinMapper {
             // only when some route actually has one.
             let mut owned: Option<TripleGroup> = None;
             for route in &config.star_routes {
-                // Value layout (identical to the owned path): side byte +
-                // AnnTg::single(star, filtered) = 1, star, tg.
+                // Value layout: side byte + AnnTg::single(star, filtered)
+                // = 1, star, tg.
                 val_buf.clear();
                 val_buf.push(route.side.byte());
                 write_varint(val_buf, 1);
@@ -270,12 +213,11 @@ impl MapTask for TgJoinMapper {
 /// and right equivalence classes of each key, materializing only
 /// combinations accepted by at least one α-condition.
 ///
-/// The default path parses each value as an [`AnnTgRef`] view, evaluates
-/// α over the *logical* merge, and writes accepted products by
-/// interleaving raw component spans into one reused scratch buffer.
+/// Each value is parsed as an [`AnnTgRef`] view, α is evaluated over the
+/// *logical* merge, and accepted products are written by interleaving raw
+/// component spans into one reused scratch buffer.
 pub struct AlphaJoinReducer {
     conds: Arc<Vec<AlphaCond>>,
-    legacy_owned: bool,
     out_buf: Vec<u8>,
     left_idx: Vec<u32>,
     right_idx: Vec<u32>,
@@ -294,59 +236,15 @@ impl AlphaJoinReducer {
     pub fn new(conds: Arc<Vec<AlphaCond>>) -> Self {
         AlphaJoinReducer {
             conds,
-            legacy_owned: false,
             out_buf: Vec::new(),
             left_idx: Vec::new(),
             right_idx: Vec::new(),
-        }
-    }
-
-    /// The pre-view owned-decode variant (benchmark baseline).
-    pub fn legacy(conds: Arc<Vec<AlphaCond>>) -> Self {
-        AlphaJoinReducer {
-            conds,
-            legacy_owned: true,
-            out_buf: Vec::new(),
-            left_idx: Vec::new(),
-            right_idx: Vec::new(),
-        }
-    }
-
-    fn reduce_legacy(&mut self, values: &[&[u8]], out: &mut ReduceOutput) {
-        let mut left: Vec<AnnTg> = Vec::new();
-        let mut right: Vec<AnnTg> = Vec::new();
-        for v in values {
-            let (side, rest) = match v.split_first() {
-                Some(x) => x,
-                None => continue,
-            };
-            let Some(ann) = AnnTg::decode(rest) else {
-                out.skip_corrupt();
-                continue;
-            };
-            if *side == Side::Left.byte() {
-                left.push(ann);
-            } else {
-                right.push(ann);
-            }
-        }
-        for l in &left {
-            for r in &right {
-                let joined = l.merge(r);
-                if any_alpha_partial(&self.conds, &joined) {
-                    out.write(&joined.encoded());
-                }
-            }
         }
     }
 }
 
 impl ReduceTask for AlphaJoinReducer {
     fn reduce(&mut self, _key: &[u8], values: &[&[u8]], out: &mut ReduceOutput) {
-        if self.legacy_owned {
-            self.reduce_legacy(values, out);
-            return;
-        }
         // Split by side byte first, deferring the (cheap, but non-free)
         // view parse until a key is known to have both sides: one-sided
         // keys — the common case under selective star filters — cost two
@@ -357,7 +255,6 @@ impl ReduceTask for AlphaJoinReducer {
             out_buf,
             left_idx,
             right_idx,
-            ..
         } = self;
         left_idx.clear();
         right_idx.clear();
@@ -408,23 +305,18 @@ pub struct AggJoinConfig {
     /// Map-side hash aggregation (`multiAggMap`). Disabling it emits one
     /// record per assignment — the ablation knob for Algorithm 3.
     pub map_side_combine: bool,
-    /// Run the pre-view owned-decode path (`AnnTg::decode` + boxed
-    /// `FxHashMap<Vec<u8>, Vec<PartialAgg>>` combine state). Benchmark
-    /// baseline and byte-identity oracle for the view path.
-    pub legacy_owned: bool,
 }
 
 /// Map phase of `Job_k` (Algorithm 3): per-mapper hash aggregation keyed by
 /// `id#grp`, flushed in `cleanup`.
 ///
-/// The default path consumes [`AnnTgRef`] views and combines into the flat
+/// The mapper consumes [`AnnTgRef`] views and combines into the flat
 /// open-addressing [`AggTable`] keyed by `(spec id, group key)` term ids —
 /// no per-group key or state boxing. `cleanup` flushes in sorted key order,
 /// which keeps map-output bytes (and therefore the whole downstream
 /// byte-identity chain) independent of hash iteration order.
 pub struct AggJoinMapper {
     config: Arc<AggJoinConfig>,
-    multi_agg_map: FxHashMap<Vec<u8>, Vec<PartialAgg>>,
     table: AggTable,
     scratch: AccumScratch,
     key_buf: Vec<u8>,
@@ -432,7 +324,7 @@ pub struct AggJoinMapper {
     ann_buf: Vec<u8>,
 }
 
-/// The view-path record processor, as a free function over the mapper's
+/// The record processor, as a free function over the mapper's
 /// destructured fields so the fold closure can mutate the table while the
 /// spec list stays borrowed from the config.
 #[allow(clippy::too_many_arguments)]
@@ -483,7 +375,6 @@ impl AggJoinMapper {
     pub fn new(config: Arc<AggJoinConfig>) -> Self {
         AggJoinMapper {
             config,
-            multi_agg_map: FxHashMap::default(),
             table: AggTable::default(),
             scratch: AccumScratch::default(),
             key_buf: Vec::new(),
@@ -491,83 +382,10 @@ impl AggJoinMapper {
             ann_buf: Vec::new(),
         }
     }
-
-    fn process(&mut self, ann: &AnnTg, out: &mut MapOutput) {
-        // Borrow pieces separately so the closure can mutate the map while
-        // reading the config.
-        let specs = &self.config.specs;
-        let numeric = &self.config.numeric;
-        let combine = self.config.map_side_combine;
-        let map = &mut self.multi_agg_map;
-        for spec in specs {
-            if !spec.alpha.satisfied_full(ann) {
-                continue;
-            }
-            let nagg = spec.aggs.len();
-            accumulate(ann, spec, numeric, &mut |key, idx, value| {
-                let mut kb = Vec::with_capacity(12);
-                write_varint(&mut kb, u64::from(spec.id));
-                write_varint(&mut kb, key.len() as u64);
-                for k in key {
-                    write_varint(&mut kb, *k);
-                }
-                if combine {
-                    let entry = map
-                        .entry(kb)
-                        .or_insert_with(|| vec![PartialAgg::default(); nagg]);
-                    entry[idx].add(value);
-                } else {
-                    let mut single = vec![PartialAgg::default(); nagg];
-                    single[idx].add(value);
-                    let mut vb = Vec::new();
-                    for p in &single {
-                        p.encode(&mut vb);
-                    }
-                    out.emit(&kb, &vb);
-                }
-            });
-        }
-    }
-
-    /// The pre-view map implementation, verbatim (including its per-record
-    /// `raw_filters` clone — part of the owned-path allocation profile the
-    /// benchmark baselines).
-    fn map_legacy(&mut self, record: &[u8], out: &mut MapOutput) {
-        if self.config.raw_filters.is_empty() {
-            let Some(ann) = AnnTg::decode(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            self.process(&ann, out);
-            return;
-        }
-        let Some(tg) = TripleGroup::decode(record) else {
-            out.skip_corrupt();
-            return;
-        };
-        let raw_filters = self.config.raw_filters.clone();
-        for (filter, transform) in &raw_filters {
-            let view = match transform {
-                Some(t) => match t(tg.clone()) {
-                    Some(v) => v,
-                    None => continue,
-                },
-                None => tg.clone(),
-            };
-            if let Some(filtered) = opt_group_filter(&view, filter) {
-                let ann = AnnTg::single(filter.star, filtered);
-                self.process(&ann, out);
-            }
-        }
-    }
 }
 
 impl MapTask for AggJoinMapper {
     fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        if self.config.legacy_owned {
-            self.map_legacy(record, out);
-            return;
-        }
         let AggJoinMapper {
             config,
             table,
@@ -575,7 +393,6 @@ impl MapTask for AggJoinMapper {
             key_buf,
             val_buf,
             ann_buf,
-            multi_agg_map: _,
         } = self;
         if config.raw_filters.is_empty() {
             let Some(ann) = AnnTgRef::parse_framed(record) else {
@@ -619,16 +436,6 @@ impl MapTask for AggJoinMapper {
 
     fn cleanup(&mut self, out: &mut MapOutput) {
         // Algorithm 3, Map.clean: emit the pre-aggregated entries.
-        if self.config.legacy_owned {
-            for (key, partials) in self.multi_agg_map.drain() {
-                let mut vb = Vec::new();
-                for p in &partials {
-                    p.encode(&mut vb);
-                }
-                out.emit(&key, &vb);
-            }
-            return;
-        }
         let AggJoinMapper {
             table,
             key_buf,
@@ -636,8 +443,8 @@ impl MapTask for AggJoinMapper {
             ..
         } = self;
         table.drain_sorted(|full_key, partials| {
-            // full_key[0] is the table tag = the spec id; re-encode the
-            // same `id, nk, keys…` shuffle key the owned path produced.
+            // full_key[0] is the table tag = the spec id; encode the
+            // `id, nk, keys…` shuffle key the reducer decodes.
             let (tag, key) = full_key
                 .split_first()
                 .expect("AggTable keys always carry the tag");
@@ -755,8 +562,10 @@ impl ReduceTask for AggJoinReducer {
 mod tests {
     use super::*;
     use crate::spec::{AggOp, AggRec, AggSpec, AlphaTerm, PropReq, VarRef};
+    use crate::triplegroup::AnnTg;
     use rapida_mapred::{
-        DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder, KeyLocal, SimDfs,
+        shuffle_partition, DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder,
+        KeyLocal, SimDfs,
     };
 
     const TY: u64 = 1;
@@ -774,10 +583,15 @@ mod tests {
     /// End-to-end MR run of filter + α-join for an AQ1-like 2-star composite:
     /// products (ty PT18, optional pf) ⋈ offers (pr, pc).
     fn run_composite_join(dfs: &SimDfs) -> Vec<AnnTg> {
-        run_composite_join_as(dfs, false, "joined")
+        run_composite_join_into(dfs, "joined");
+        dfs.get("joined")
+            .unwrap()
+            .iter_records()
+            .map(|r| AnnTg::decode(r).unwrap())
+            .collect()
     }
 
-    fn run_composite_join_as(dfs: &SimDfs, legacy: bool, out_name: &str) -> Vec<AnnTg> {
+    fn run_composite_join_into(dfs: &SimDfs, out_name: &str) {
         // Products: 10 has pf, 11 lacks pf, 12 is wrong type.
         let mut w = DatasetWriter::new(64);
         w.push(&tg_record(10, &[(TY, PT18), (PF, 71)]));
@@ -816,7 +630,6 @@ mod tests {
                 },
             ],
             ann_routes: vec![],
-            legacy_owned: legacy,
         });
         let conds: Arc<Vec<AlphaCond>> = Arc::new(vec![]);
         let job = JobBuilder::new("mr1")
@@ -828,23 +641,12 @@ mod tests {
             })))
             .reducer(Arc::new(KeyLocal(FnReduceFactory({
                 let c = conds.clone();
-                move || {
-                    if legacy {
-                        AlphaJoinReducer::legacy(c.clone())
-                    } else {
-                        AlphaJoinReducer::new(c.clone())
-                    }
-                }
+                move || AlphaJoinReducer::new(c.clone())
             }))))
             .output(out_name)
             .num_reducers(2)
             .build();
         Engine::pinned(dfs.clone()).run_job(&job);
-        dfs.get(out_name)
-            .unwrap()
-            .iter_records()
-            .map(|r| AnnTg::decode(r).unwrap())
-            .collect()
     }
 
     #[test]
@@ -898,7 +700,6 @@ mod tests {
                 },
             ],
             ann_routes: vec![],
-            legacy_owned: false,
         });
         let conds = Arc::new(vec![AlphaCond {
             terms: vec![AlphaTerm {
@@ -977,7 +778,6 @@ mod tests {
             numeric: Arc::new(numeric),
             raw_filters: vec![],
             map_side_combine: true,
-            legacy_owned: false,
         });
         let job = JobBuilder::new("agj")
             .input("joined")
@@ -1046,7 +846,6 @@ mod tests {
                     None,
                 )],
                 map_side_combine: combine,
-                legacy_owned: false,
             })
         };
         let run = |combine: bool, out: &str| {
@@ -1092,25 +891,64 @@ mod tests {
             .collect()
     }
 
-    /// The view pipeline must be byte-identical to the owned-decode path —
-    /// same records, same bytes, same order — through filter + α-join.
-    #[test]
-    fn view_join_byte_identical_to_legacy() {
-        let dfs = SimDfs::new();
-        run_composite_join_as(&dfs, false, "joined_view");
-        run_composite_join_as(&dfs, true, "joined_legacy");
-        assert_eq!(
-            raw_records(&dfs, "joined_view"),
-            raw_records(&dfs, "joined_legacy")
-        );
+    /// Expected job output, in the engine's commit order: reduce
+    /// partitions in index order, keys ascending within each partition.
+    fn in_commit_order(mut recs: Vec<(Vec<u8>, Vec<u8>)>, reducers: usize) -> Vec<Vec<u8>> {
+        recs.sort_by(|(ka, _), (kb, _)| {
+            (shuffle_partition(ka, reducers), ka).cmp(&(shuffle_partition(kb, reducers), kb))
+        });
+        recs.into_iter().map(|(_, rec)| rec).collect()
     }
 
-    /// Same identity for the Agg-Join: the sorted-drain hash table and the
-    /// legacy `FxHashMap` combine state must produce identical final bytes,
-    /// with and without map-side combining, including the raw-filter
-    /// (shared single-star scan) map path.
+    fn varint(v: u64) -> Vec<u8> {
+        let mut b = Vec::new();
+        write_varint(&mut b, v);
+        b
+    }
+
+    /// Filter + α-join output bytes, hand-derived from the fixture: p10
+    /// keeps `ty` and its optional `pf`, p11 keeps `ty` alone, p12 fails
+    /// the type filter; each surviving product pairs with the one offer
+    /// pointing at it, joined on the product subject.
     #[test]
-    fn view_agg_join_byte_identical_to_legacy() {
+    fn join_output_bytes_match_hand_computed() {
+        let dfs = SimDfs::new();
+        run_composite_join_into(&dfs, "joined");
+        let pair = |p: TripleGroup, o: TripleGroup| AnnTg {
+            groups: vec![(0, p), (1, o)],
+        };
+        let expected = in_commit_order(
+            vec![
+                (
+                    varint(10),
+                    pair(
+                        TripleGroup::new(10, vec![(TY, PT18), (PF, 71)]),
+                        TripleGroup::new(20, vec![(PR, 10), (PC, 30)]),
+                    )
+                    .encoded(),
+                ),
+                (
+                    varint(11),
+                    pair(
+                        TripleGroup::new(11, vec![(TY, PT18)]),
+                        TripleGroup::new(21, vec![(PR, 11), (PC, 40)]),
+                    )
+                    .encoded(),
+                ),
+            ],
+            2,
+        );
+        assert_eq!(raw_records(&dfs, "joined"), expected);
+    }
+
+    /// Agg-Join output bytes, hand-derived from the fixture: subject `i`
+    /// has `pf = 60 + i % 3` and `pc = 30` for even `i`, `40` for odd.
+    /// Group 60 holds nine 30s and eight 40s, group 61 eight 30s and nine
+    /// 40s, group 62 eight of each. Combining on or off, and through the
+    /// raw-filter (shared single-star scan) map path, the bytes are the
+    /// same.
+    #[test]
+    fn agg_join_output_bytes_match_hand_computed() {
         let dfs = SimDfs::new();
         let mut w = DatasetWriter::new(128);
         for i in 0..50 {
@@ -1122,7 +960,7 @@ mod tests {
         numeric[40] = Some(40.0);
         let numeric = Arc::new(numeric);
 
-        let mk_config = |combine: bool, legacy: bool| {
+        let mk_config = |combine: bool| {
             Arc::new(AggJoinConfig {
                 specs: vec![AggJoinSpec {
                     id: 0,
@@ -1153,11 +991,10 @@ mod tests {
                     None,
                 )],
                 map_side_combine: combine,
-                legacy_owned: legacy,
             })
         };
-        let run = |combine: bool, legacy: bool, out: &str| {
-            let config = mk_config(combine, legacy);
+        let run = |combine: bool, out: &str| {
+            let config = mk_config(combine);
             let job = JobBuilder::new("agj")
                 .input("tgs")
                 .mapper(Arc::new(FnMapFactory({
@@ -1173,20 +1010,28 @@ mod tests {
                 .build();
             Engine::pinned(dfs.clone()).run_job(&job);
         };
-        for combine in [true, false] {
-            let (a, b) = if combine {
-                ("agg_view_c", "agg_legacy_c")
-            } else {
-                ("agg_view_n", "agg_legacy_n")
-            };
-            run(combine, false, a);
-            run(combine, true, b);
-            assert_eq!(
-                raw_records(&dfs, a),
-                raw_records(&dfs, b),
-                "combine={combine}"
-            );
-            assert!(!raw_records(&dfs, a).is_empty());
+        let rec = |grp: u64, avg: f64, count: f64| {
+            let key = [varint(0), varint(1), varint(grp)].concat();
+            let mut bytes = Vec::new();
+            AggRec {
+                id: 0,
+                key: vec![grp],
+                values: vec![Some(avg), Some(count)],
+            }
+            .encode(&mut bytes);
+            (key, bytes)
+        };
+        let expected = in_commit_order(
+            vec![
+                rec(60, (9.0 * 30.0 + 8.0 * 40.0) / 17.0, 17.0),
+                rec(61, (8.0 * 30.0 + 9.0 * 40.0) / 17.0, 17.0),
+                rec(62, 35.0, 16.0),
+            ],
+            2,
+        );
+        for (combine, out) in [(true, "agg_c"), (false, "agg_n")] {
+            run(combine, out);
+            assert_eq!(raw_records(&dfs, out), expected, "combine={combine}");
         }
     }
 }

@@ -37,7 +37,7 @@ fn main() {
         3,
         plan.cycles()
     );
-    let (rel, wf) = plan.execute(&mr);
+    let (rel, wf) = plan.execute(&mr).expect("runs");
     println!(
         "{} lattice rows, {:.2} MB shuffled total\n",
         rel.len(),

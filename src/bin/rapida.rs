@@ -242,7 +242,13 @@ fn main() -> ExitCode {
                     print!("{}", plan.explain());
                     continue;
                 }
-                let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+                let (rel, wf) = match plan.try_execute(&mr, &aq, &cat.dict) {
+                    Ok(run) => run,
+                    Err(e) => {
+                        eprintln!("{}: execution failed: {e}", engine.name());
+                        return ExitCode::FAILURE;
+                    }
+                };
                 eprintln!(
                     "{}: {} rows, {} cycles, {:.2} MB shuffled",
                     engine.name(),

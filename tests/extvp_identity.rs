@@ -57,7 +57,7 @@ fn run_one(
         .plan(aq, cat)
         .unwrap_or_else(|e| panic!("{} failed to plan: {e}", engine.name()));
     let cycles = plan.cycles();
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let blocks: Vec<Vec<u8>> = cat
         .dfs
         .get(&plan.output_dataset)

@@ -135,7 +135,7 @@ proptest! {
         ];
         for e in &engines {
             let plan = e.plan(&aq, &cat).unwrap();
-            let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+            let (rel, _wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
             prop_assert_eq!(
                 rel.canonicalized(&g.dict),
                 expected.clone(),
@@ -163,7 +163,7 @@ proptest! {
         ];
         for v in &variants {
             let plan = v.plan(&aq, &cat).unwrap();
-            let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+            let (rel, _wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
             prop_assert_eq!(rel.canonicalized(&g.dict), expected.clone());
         }
     }

@@ -45,7 +45,9 @@ fn references(g: &Graph) -> BTreeMap<String, Vec<String>> {
     for id in TEMPLATES {
         let aq = extract(&parse_query(&query(id).sparql).unwrap()).unwrap();
         let plan = planner.plan(&aq, &cat).unwrap();
-        let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _) = plan
+            .try_execute(&mr, &aq, &cat.dict)
+            .expect("plan executes");
         plan.cleanup(&cat.dfs);
         refs.insert(id.to_string(), rel.canonicalized(&cat.dict));
     }
